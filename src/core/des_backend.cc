@@ -154,16 +154,15 @@ DesBackend::execute()
         injector = std::make_unique<faults::FaultInjector>(
             simulator, platform, network);
         injector->attachEngine(engine);
-        if (cfg.elasticRemap)
-            injector->attachMapper(mapper);
     }
 
     std::unique_ptr<resil::RecoveryManager> recovery;
     if (cfg.resilience.enabled) {
         CHARLLM_ASSERT(cfg.faultScenario.empty(),
-                       "resilience and the legacy fault scenario are "
-                       "mutually exclusive: the recovery state machine "
-                       "owns fault handling");
+                       "resilience and faultScenario are mutually "
+                       "exclusive: both drive GPU slowdowns, and "
+                       "recovery resets a replaced GPU to full speed, "
+                       "erasing a straggler's derate");
         int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
         int microbatches =
             std::max(1, per_replica / cfg.train.microbatchSize);
@@ -197,8 +196,6 @@ DesBackend::execute()
             Seconds(cfg.resilience.checkpoint.quiesceSec),
             cfg.resilience.recovery, std::move(schedule),
             Seconds(cfg.resilience.horizonSec), cfg.resilience.seed);
-        if (cfg.resilience.recovery.elasticRemap)
-            recovery->attachMapper(mapper);
         if (elastic_world)
             recovery->attachElastic(mapper, *elastic_world);
     }
@@ -259,9 +256,14 @@ DesBackend::execute()
     // the identical sequence of floating-point adds as a full run.
     const int logical_world =
         collapsed ? fold.logicalWorld() : platform.numGpus();
+    // Throttle residency scans a GPU's whole clock log: take it once
+    // per physical GPU, not once per logical GPU it stands for.
+    std::vector<double> throttle;
+    for (int d = 0; d < platform.numGpus(); ++d)
+        throttle.push_back(platform.gpu(d).throttleRatio());
     for (int i = 0; i < logical_world; ++i) {
-        const hw::Gpu& gpu =
-            platform.gpu(collapsed ? fold.repOf(i) : i);
+        const int dev = collapsed ? fold.repOf(i) : i;
+        const hw::Gpu& gpu = platform.gpu(dev);
         GpuResult g;
         g.avgPowerW = gpu.powerStats().mean();
         g.peakPowerW = gpu.powerStats().max();
@@ -269,7 +271,7 @@ DesBackend::execute()
         g.peakTempC = gpu.tempStats().max();
         g.avgClockGhz = gpu.clockStats().mean() *
                         gpu.spec().nominalClockGhz;
-        g.throttleRatio = gpu.throttleRatio();
+        g.throttleRatio = throttle[static_cast<std::size_t>(dev)];
         g.avgOccupancy = gpu.occupancyStats().mean();
         g.avgWarps = gpu.warpStats().mean();
         g.avgThreadblocks = gpu.threadblockStats().mean();

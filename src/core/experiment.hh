@@ -63,21 +63,18 @@ struct ExperimentConfig
 
     /**
      * Deterministic degradation events (stragglers, flapping links,
-     * hot inlets, ECC storms, fail-stops) injected into the run. See
-     * faults::scenarios for presets. Empty = healthy fleet.
+     * hot inlets, fan failures, ECC storms) injected into the run.
+     * See faults::scenarios for presets. Empty = healthy fleet.
      */
     faults::FaultScenario faultScenario;
-
-    /** On GpuFailStop faults, re-map the dead device's ranks to the
-     * highest-id healthy device (takes effect next iteration). */
-    bool elasticRemap = false;
 
     /**
      * Resilience subsystem (resil::RecoveryManager): seeded Poisson
      * failures, checkpoint/rollback recovery, retry/backoff on
-     * transient link faults, and goodput accounting. Mutually
-     * exclusive with faultScenario (the legacy flat-restart-cost
-     * path) — the recovery state machine owns fault handling.
+     * transient link faults, and goodput accounting — the only
+     * fail-stop model. Mutually exclusive with faultScenario: both
+     * drive Platform::setGpuSlowdown, and recovery resets a replaced
+     * GPU to full speed, which would erase a straggler's derate.
      */
     resil::ResilienceConfig resilience;
 

@@ -2,9 +2,10 @@
  * @file
  * Fault taxonomy for deterministic degradation injection. The paper's
  * central observation is that real clusters are heterogeneous — thermal
- * stragglers, throttled GPUs, flapping links, node power failures — so
- * the simulator models degradation as a first-class, seed-reproducible
- * input rather than assuming a healthy fleet.
+ * stragglers, throttled GPUs, flapping links, ECC storms — so the
+ * simulator models degradation as a first-class, seed-reproducible
+ * input rather than assuming a healthy fleet. Fail-stop failures (node
+ * power loss) belong to resil::, not to this taxonomy.
  */
 
 #ifndef CHARLLM_FAULTS_FAULT_HH
@@ -21,7 +22,6 @@ namespace faults {
 enum class FaultKind
 {
     GpuSlowdown, //!< persistent straggler: device runs derated
-    GpuFailStop, //!< device dies; job pays checkpoint/restart cost
     LinkDerate,  //!< link capacity reduced (congestion, cable errors)
     LinkFlap,    //!< link oscillates between healthy and derated
     HotInlet,    //!< machine-room hot spot raises one GPU's inlet air
@@ -35,7 +35,6 @@ faultKindName(FaultKind k)
 {
     switch (k) {
       case FaultKind::GpuSlowdown: return "gpu-slowdown";
-      case FaultKind::GpuFailStop: return "gpu-fail-stop";
       case FaultKind::LinkDerate: return "link-derate";
       case FaultKind::LinkFlap: return "link-flap";
       case FaultKind::HotInlet: return "hot-inlet";
@@ -49,7 +48,6 @@ faultKindName(FaultKind k)
  * One fault to inject. The meaning of @ref magnitude depends on the
  * kind:
  *  - GpuSlowdown: relative speed factor in (0, 1)
- *  - GpuFailStop: checkpoint/restart cost in seconds
  *  - LinkDerate / LinkFlap: derated capacity factor in (0, 1]
  *  - HotInlet: inlet temperature rise in degC
  *  - FanFailure: thermal-resistance multiplier (> 1)

@@ -11,10 +11,6 @@ namespace faults {
 
 namespace {
 
-/** Effective clock of a fail-stopped device until its replacement
- * arrives (the paper's power-fault incident: >4x slower). */
-constexpr double kFailStopDerate = 0.02;
-
 /** Maximum ECC retry attempts before the stall resolves. */
 constexpr int kMaxEccRetries = 6;
 
@@ -38,12 +34,6 @@ void
 FaultInjector::attachEngine(runtime::TrainingEngine& eng)
 {
     engine = &eng;
-}
-
-void
-FaultInjector::attachMapper(parallel::RankMapper& m)
-{
-    mapper = &m;
 }
 
 void
@@ -124,9 +114,6 @@ FaultInjector::apply(const FaultScenario& scenario)
           case FaultKind::GpuSlowdown:
             applyGpuSlowdown(spec);
             break;
-          case FaultKind::GpuFailStop:
-            applyGpuFailStop(spec);
-            break;
           case FaultKind::LinkDerate:
             applyLinkDerate(spec);
             break;
@@ -173,39 +160,6 @@ FaultInjector::applyGpuSlowdown(const FaultSpec& spec)
     record(spec.kind, gpu, spec.startSec, end, spec.magnitude);
     trackInterval(gpu, spec.kind, spec.startSec,
                   end == kOpenEnded ? spec.startSec : end);
-}
-
-void
-FaultInjector::applyGpuFailStop(const FaultSpec& spec)
-{
-    CHARLLM_ASSERT(spec.magnitude > 0.0,
-                   "fail-stop needs a restart cost in seconds");
-    int gpu = spec.target;
-    // The replacement (or rebooted node) arrives after the restart
-    // cost unless an explicit outage window was given.
-    double outage = spec.durationSec > 0.0 ? spec.durationSec
-                                           : spec.magnitude;
-    double end = spec.startSec + outage;
-    sim.scheduleAt(sim::toTicks(spec.startSec), [this, gpu, spec] {
-        plat.setGpuSlowdown(gpu, kFailStopDerate);
-        if (engine)
-            engine->notifyFailStop(Seconds(spec.magnitude));
-        if (mapper) {
-            // Elastic response: hand the dead device's ranks to a
-            // same-node peer (see parallel::failoverPeer for the
-            // placement rationale). Takes effect when the next
-            // iteration's program is built.
-            int peer = parallel::failoverPeer(
-                *mapper, gpu, network.topology().gpusPerNode());
-            if (peer >= 0)
-                mapper->swapDevices(gpu, peer);
-        }
-    });
-    sim.scheduleAt(sim::toTicks(end), [this, gpu] {
-        plat.setGpuSlowdown(gpu, 1.0);
-    });
-    record(spec.kind, gpu, spec.startSec, end, spec.magnitude);
-    trackInterval(gpu, spec.kind, spec.startSec, end);
 }
 
 void

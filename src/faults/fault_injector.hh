@@ -16,7 +16,6 @@
 #include "faults/fault.hh"
 #include "hw/platform.hh"
 #include "net/flow_network.hh"
-#include "parallel/rank_mapper.hh"
 #include "runtime/engine.hh"
 #include "sim/simulator.hh"
 #include "telemetry/trace.hh"
@@ -26,9 +25,13 @@ namespace faults {
 
 /**
  * Injects a FaultScenario into a built simulation stack. Construct
- * after Platform/FlowNetwork, attach the engine (and optionally the
- * rank mapper for elastic re-mapping), then apply() the scenario
- * before running.
+ * after Platform/FlowNetwork, attach the engine, then apply() the
+ * scenario before running.
+ *
+ * Every fault here is a degradation the job runs through: the device
+ * or link stays in service, only slower, hotter or stalled. Fail-stop
+ * (a device or node dying, detection, checkpoint rollback, spares)
+ * is modeled by resil::RecoveryManager alone.
  */
 class FaultInjector
 {
@@ -36,16 +39,8 @@ class FaultInjector
     FaultInjector(sim::Simulator& sim, hw::Platform& platform,
                   net::FlowNetwork& network);
 
-    /** Enable runtime-layer responses (stalls, restart costs). */
+    /** Enable runtime-layer responses (ECC stalls). */
     void attachEngine(runtime::TrainingEngine& engine);
-
-    /**
-     * Enable elastic re-mapping: on GpuFailStop the failed device's
-     * ranks are swapped with a same-node peer (preferring the latest
-     * pipeline stage, whose bubbles absorb part of the derate),
-     * taking effect at the next iteration (next program build).
-     */
-    void attachMapper(parallel::RankMapper& mapper);
 
     /**
      * Expand the scenario into concrete simulator events. Call once,
@@ -86,7 +81,6 @@ class FaultInjector
                        double end_s);
 
     void applyGpuSlowdown(const FaultSpec& spec);
-    void applyGpuFailStop(const FaultSpec& spec);
     void applyLinkDerate(const FaultSpec& spec);
     void applyLinkFlap(const FaultSpec& spec, Rng& rng);
     void applyHotInlet(const FaultSpec& spec);
@@ -100,7 +94,6 @@ class FaultInjector
     hw::Platform& plat;
     net::FlowNetwork& network;
     runtime::TrainingEngine* engine = nullptr;
-    parallel::RankMapper* mapper = nullptr;
 
     std::vector<FaultRecord> records;
 

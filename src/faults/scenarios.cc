@@ -15,16 +15,6 @@ straggler(int gpu, double factor, double start_s)
 }
 
 FaultScenario
-failStop(int gpu, Seconds restart_cost, double start_s)
-{
-    FaultScenario s;
-    s.name = "fail-stop";
-    s.faults.push_back(FaultSpec{FaultKind::GpuFailStop, gpu, start_s,
-                                 0.0, restart_cost.value(), 0.0, 0.5});
-    return s;
-}
-
-FaultScenario
 hotInlet(int gpu, CelsiusDelta excess, double start_s)
 {
     FaultScenario s;

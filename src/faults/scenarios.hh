@@ -2,8 +2,8 @@
  * @file
  * Preset FaultScenario catalog: the degradation patterns the paper
  * observes in production fleets (thermal stragglers, flapping IB
- * links, node power failures, ECC storms), packaged as reproducible
- * scenarios for experiments, tests, and ablation benches.
+ * links, hot inlets, ECC storms), packaged as reproducible scenarios
+ * for experiments, tests, and ablation benches.
  *
  * Durations and temperature deltas are typed quantities; injection
  * times (@p start_s) are points on the simulator clock, which by
@@ -23,13 +23,6 @@ namespace scenarios {
 
 /** Persistent straggler: @p gpu runs at @p factor of nominal speed. */
 FaultScenario straggler(int gpu, double factor, double start_s = 0.0);
-
-/**
- * Node power incident: @p gpu fail-stops at @p start_s and the job
- * pays @p restart_cost of checkpoint/restart at the next iteration
- * boundary; the device returns after the restart window.
- */
-FaultScenario failStop(int gpu, Seconds restart_cost, double start_s);
 
 /** Machine-room hot spot: @p gpu's inlet air runs @p excess hotter. */
 FaultScenario hotInlet(int gpu, CelsiusDelta excess, double start_s = 0.0);

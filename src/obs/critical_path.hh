@@ -56,7 +56,7 @@ namespace obs {
 /** Time-axis cause classes; per iteration they partition the wall
  *  time exactly (identity asserted at 1e-9 in analyze()). */
 enum class CauseClass : std::uint8_t {
-    Startup = 0,        ///< iteration start to first path op (restart pauses)
+    Startup = 0,        ///< iteration start to first path op
     Compute,            ///< kernel execution on the path
     CommCollScaleup,    ///< exposed collective wire time, intra-node
     CommCollInternode,  ///< exposed collective wire time, cross-node

@@ -33,22 +33,6 @@ RankMapper::setDevicePermutation(std::vector<int> perm)
     }
 }
 
-void
-RankMapper::swapDevices(int dev_a, int dev_b)
-{
-    CHARLLM_ASSERT(dev_a >= 0 && dev_a < cfg.worldSize() &&
-                       dev_b >= 0 && dev_b < cfg.worldSize(),
-                   "device id out of range: ", dev_a, ", ", dev_b);
-    if (dev_a == dev_b)
-        return;
-    int rank_a = rankOf(dev_a);
-    int rank_b = rankOf(dev_b);
-    devicePerm[static_cast<std::size_t>(rank_a)] = dev_b;
-    devicePerm[static_cast<std::size_t>(rank_b)] = dev_a;
-    deviceRank[static_cast<std::size_t>(dev_a)] = rank_b;
-    deviceRank[static_cast<std::size_t>(dev_b)] = rank_a;
-}
-
 int
 RankMapper::deviceOf(int rank) const
 {
@@ -173,24 +157,6 @@ RankMapper::nodeLocality(const std::vector<int>& devices,
         }
     }
     return static_cast<double>(same) / static_cast<double>(total);
-}
-
-int
-failoverPeer(const RankMapper& mapper, int gpu, int gpus_per_node)
-{
-    int node = gpu / gpus_per_node;
-    int peer = -1, best_pp = -1;
-    for (int d = node * gpus_per_node; d < (node + 1) * gpus_per_node;
-         ++d) {
-        if (d == gpu)
-            continue;
-        int pp = mapper.coordsOf(mapper.rankOf(d)).ppIdx;
-        if (pp >= best_pp) {
-            best_pp = pp;
-            peer = d;
-        }
-    }
-    return peer;
 }
 
 } // namespace parallel

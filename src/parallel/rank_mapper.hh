@@ -44,13 +44,6 @@ class RankMapper
     /** Install a custom rank -> device permutation. */
     void setDevicePermutation(std::vector<int> perm);
 
-    /**
-     * Swap the ranks mapped to two devices (elastic re-mapping after
-     * a fault): the logical program is untouched, only the placement
-     * changes, taking effect the next time a program is built.
-     */
-    void swapDevices(int dev_a, int dev_b);
-
     const ParallelConfig& config() const { return cfg; }
     int worldSize() const { return cfg.worldSize(); }
 
@@ -90,17 +83,6 @@ class RankMapper
     std::vector<int> devicePerm; //!< rank -> device
     std::vector<int> deviceRank; //!< device -> rank
 };
-
-/**
- * Elastic-failover peer selection for a dead device: a same-node peer,
- * preferring one whose rank sits in the latest pipeline stage (bubble
- * slack absorbs part of the derate). Staying inside the node keeps
- * scale-up groups intact — a cross-node swap would force TP traffic
- * over IB and cost far more than the fault itself. Returns -1 when the
- * node has no other device. Used by faults::FaultInjector and
- * resil::RecoveryManager; pair with RankMapper::swapDevices.
- */
-int failoverPeer(const RankMapper& mapper, int gpu, int gpus_per_node);
 
 } // namespace parallel
 } // namespace charllm

@@ -8,6 +8,20 @@
 namespace charllm {
 namespace resil {
 
+namespace {
+
+/** Effective clock of a fail-stopped GPU until replacement. */
+constexpr double kGpuFailDerate = 0.02;
+
+/** Residual capacity of a transiently-faulted scale-out link. */
+constexpr double kLinkFaultDerate = 0.05;
+
+static_assert(kGpuFailDerate > 0.0 && kGpuFailDerate < 1.0 &&
+                  kLinkFaultDerate > 0.0 && kLinkFaultDerate <= 1.0,
+              "derates must be in (0, 1]");
+
+} // namespace
+
 std::vector<double>
 SparePool::replenishSchedule(Seconds horizon,
                              std::uint64_t seed) const
@@ -53,10 +67,6 @@ RecoveryManager::RecoveryManager(sim::Simulator& simulator,
                        cfg.retry.maxBackoff.value() >=
                            cfg.retry.initialBackoff.value(),
                    "bad retry policy");
-    CHARLLM_ASSERT(cfg.gpuFailDerate > 0.0 && cfg.gpuFailDerate < 1.0 &&
-                       cfg.linkFaultDerate > 0.0 &&
-                       cfg.linkFaultDerate <= 1.0,
-                   "derates must be in (0, 1]");
     CHARLLM_ASSERT(cfg.spares.capacity >= 0 &&
                        cfg.spares.acquire.value() > 0.0 &&
                        cfg.reboot.value() > 0.0,
@@ -73,12 +83,6 @@ RecoveryManager::RecoveryManager(sim::Simulator& simulator,
     engine.setResilienceController(this);
     armNextFailure();
     armNextReplenish();
-}
-
-void
-RecoveryManager::attachMapper(parallel::RankMapper& m)
-{
-    mapper = &m;
 }
 
 void
@@ -159,7 +163,7 @@ RecoveryManager::onFailure(std::size_t index)
         gpus.swap(live);
     }
     for (int g : gpus)
-        plat.setGpuSlowdown(g, cfg.gpuFailDerate);
+        plat.setGpuSlowdown(g, kGpuFailDerate);
     if (recovering) {
         // The cluster is already down for repair (or mid-reconfig):
         // the same window covers this fault, no extra rollback.
@@ -329,7 +333,7 @@ RecoveryManager::onTransientLink(const FailureEvent& ev)
         }
     }
     ++runStats.transientFaults;
-    network.setLinkDerate(link, cfg.linkFaultDerate);
+    network.setLinkDerate(link, kLinkFaultDerate);
 
     RetrySession s;
     s.link = link;
@@ -452,12 +456,6 @@ RecoveryManager::beginRollback(double fail_s, double detect_s,
         if (link >= 0)
             network.setLinkDerate(link, 1.0);
     });
-    if (cfg.elasticRemap && mapper != nullptr && gpus.size() == 1) {
-        int peer = parallel::failoverPeer(
-            *mapper, gpus.front(), network.topology().gpusPerNode());
-        if (peer >= 0)
-            mapper->swapDevices(gpus.front(), peer);
-    }
 
     engine.abortIteration(rollback, resume);
     lastCkptRefSec = resume; // fresh cadence after recovery

@@ -141,13 +141,6 @@ struct RecoveryConfig
      *  elastic shrink cannot apply, e.g. the last replica died). */
     Seconds reboot{60.0};
     ElasticPolicy elastic;
-    /** Residual capacity of a transiently-faulted scale-out link. */
-    double linkFaultDerate = 0.05;
-    /** Effective clock of a fail-stopped GPU until replacement. */
-    double gpuFailDerate = 0.02;
-    /** Re-map a dead GPU's ranks to a same-node peer on recovery
-     *  (parallel::failoverPeer; requires attachMapper). */
-    bool elasticRemap = false;
 };
 
 /** Everything core::Experiment needs to arm resilience for a run. */
@@ -183,9 +176,6 @@ class RecoveryManager final : public runtime::ResilienceController
 
     RecoveryManager(const RecoveryManager&) = delete;
     RecoveryManager& operator=(const RecoveryManager&) = delete;
-
-    /** Enable elastic re-map (cfg.elasticRemap) onto @p mapper. */
-    void attachMapper(parallel::RankMapper& mapper);
 
     /** Arm DP shrink/grow (cfg.dryPolicy == ElasticShrink): @p world
      *  is the liveness mask the ProgramBuilder also reads, @p mapper

@@ -118,22 +118,8 @@ TrainingEngine::startIteration()
                                  iteration < opts.warmupIterations,
                                  iterStart);
     }
-    double restart = pendingRestartSec;
-    pendingRestartSec = 0.0;
-    if (restart > 0.0) {
-        // Checkpoint/restart pause: every rank begins late, and the
-        // pause counts into this iteration's measured duration.
-        plat.simulator().schedule(sim::toTicks(restart),
-                                  [this, world, e = epoch] {
-            if (e != epoch)
-                return;
-            for (int dev = 0; dev < world; ++dev)
-                advance(dev);
-        });
-    } else {
-        for (int dev = 0; dev < world; ++dev)
-            advance(dev);
-    }
+    for (int dev = 0; dev < world; ++dev)
+        advance(dev);
 }
 
 void
@@ -653,18 +639,6 @@ TrainingEngine::injectTransientStall(int dev, Seconds stall)
 }
 
 void
-TrainingEngine::notifyFailStop(Seconds restart_cost)
-{
-    const double restartCostSec = restart_cost.value();
-    CHARLLM_ASSERT(restartCostSec >= 0.0,
-                   "negative restart cost: ", restartCostSec);
-    // Overlapping fail-stops before the same boundary share one
-    // restart window: the cluster restarts once, paying the slowest
-    // recovery, not the serialized sum.
-    pendingRestartSec = std::max(pendingRestartSec, restartCostSec);
-}
-
-void
 TrainingEngine::abortIteration(int rollback, double resume_at_s)
 {
     CHARLLM_ASSERT(!finished, "abort after the run completed");
@@ -742,7 +716,6 @@ TrainingEngine::abortIteration(int rollback, double resume_at_s)
         channels.clear();
     }
     std::fill(pendingStall.begin(), pendingStall.end(), 0.0);
-    pendingRestartSec = 0.0;
     iteration -= rollback;
     pendingStart = plat.simulator().schedule(
         sim::toTicks(resume_at_s - now), [this, e = epoch] {

@@ -152,19 +152,6 @@ class TrainingEngine
      */
     void injectTransientStall(int dev, Seconds stall);
 
-    /**
-     * Model a fail-stop + checkpoint/restart: the next iteration
-     * starts only after @p restart_cost of global pause (checkpoint
-     * reload, process re-init, lost progress). Overlapping fail-stops
-     * share one restart window — the pending debt is the max of the
-     * individual costs, not their sum.
-     */
-    void notifyFailStop(Seconds restart_cost);
-
-    /** Pending fail-stop restart debt (consumed at the next iteration
-     *  start). Exposed for fault-accounting tests. */
-    double pendingRestartSeconds() const { return pendingRestartSec; }
-
     /** @} */
 
     /** @name Recovery hooks (driven by resil::RecoveryManager)
@@ -335,7 +322,6 @@ class TrainingEngine
     int totalIterations = 0;
     int ranksRemaining = 0;
     std::vector<double> pendingStall;  //!< per-device deferred stalls
-    double pendingRestartSec = 0.0;    //!< fail-stop restart debt
     double iterStart = 0.0;
     double measureStart = 0.0;
     std::vector<double> measured;
