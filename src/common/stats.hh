@@ -44,10 +44,20 @@ class RunningStats
  * Time-weighted statistics for piecewise-constant signals (power, clock):
  * each value holds from the previous update time to the current one.
  * Used for average power, throttling ratios, etc.
+ *
+ * State is O(1): running sums only, no per-interval log. The one
+ * threshold query (time spent below a level, e.g. the throttle clock)
+ * is fixed at construction and accumulated as the signal is updated.
  */
 class TimeWeightedStats
 {
   public:
+    /** No threshold: fractionBelow() reports 0. */
+    TimeWeightedStats() = default;
+
+    /** Accumulate the time during which the value is < @p threshold. */
+    explicit TimeWeightedStats(double level) : threshold(level) {}
+
     /**
      * Record that the signal took @p value starting at @p time (seconds).
      * The previously recorded value is weighted by the elapsed interval.
@@ -62,21 +72,22 @@ class TimeWeightedStats
     double max() const { return hasSample ? hi : 0.0; }
     double duration() const { return totalTime; }
 
-    /** Fraction of observed time during which value < threshold. */
-    double fractionBelow(double threshold) const;
+    /** Fraction of observed time during which value < the threshold. */
+    double fractionBelow() const;
 
   private:
     void accumulate(double until);
 
+    // -inf: no value is below it, so the below-time stays 0.
+    double threshold = -std::numeric_limits<double>::infinity();
     bool hasSample = false;
     double lastTime = 0.0;
     double lastValue = 0.0;
     double weighted = 0.0;
     double totalTime = 0.0;
+    double belowTime = 0.0;
     double lo = std::numeric_limits<double>::infinity();
     double hi = -std::numeric_limits<double>::infinity();
-    // Piecewise (value, duration) pairs for threshold queries.
-    std::vector<std::pair<double, double>> segments;
 };
 
 /** Fixed-bin histogram over [lo, hi); out-of-range samples clamp. */

@@ -26,7 +26,8 @@ Gpu::Gpu(int global_id, const GpuSpec& spec)
       compute(spec),
       governor(spec),
       tempC(calib::kRoomTempC),
-      powerCapW(spec.tdpWatts.value())
+      powerCapW(spec.tdpWatts.value()),
+      clockTw(calib::kThrottleClockThresholdRel)
 {
     currentPower = computePower();
     powerTw.update(0.0, currentPower);
@@ -199,7 +200,7 @@ Gpu::trafficBytes(TrafficClass cls) const
 double
 Gpu::throttleRatio() const
 {
-    return clockTw.fractionBelow(calib::kThrottleClockThresholdRel);
+    return clockTw.fractionBelow();
 }
 
 void
@@ -225,7 +226,7 @@ Gpu::resetStats(double now)
     kernelTime = KernelTimeBreakdown();
     powerTw = TimeWeightedStats();
     tempTw = TimeWeightedStats();
-    clockTw = TimeWeightedStats();
+    clockTw = TimeWeightedStats(calib::kThrottleClockThresholdRel);
     occTw = TimeWeightedStats();
     warpTw = TimeWeightedStats();
     blockTw = TimeWeightedStats();

@@ -80,6 +80,7 @@ class Platform
     sim::Simulator& sim;
     std::vector<std::unique_ptr<Gpu>> devices;
     ThermalModel thermalNet;
+    std::vector<Watts> powers; //!< tick() scratch: per-device draw
     int nodes;
     ClockListener clockListener;
     bool started = false;

@@ -83,7 +83,9 @@ ThermalModel::step(Seconds dt, const std::vector<Watts>& powers)
                    "power vector size mismatch");
     using namespace calib;
     int per_node = chassis.gpusPerNode();
-    std::vector<double> next = temps;
+    // Every entry is overwritten below; after the first step this
+    // reuses the buffer the previous swap left behind.
+    next.resize(temps.size());
     for (std::size_t i = 0; i < temps.size(); ++i) {
         int node = static_cast<int>(i) / per_node;
         int slot = static_cast<int>(i) % per_node;

@@ -86,6 +86,7 @@ class ThermalModel
     std::vector<double> temps;
     std::vector<double> inletOffsets;    //!< injected inlet delta (degC)
     std::vector<double> faultRScale;     //!< injected resistance scale
+    std::vector<double> next;            //!< step() scratch, swapped
 };
 
 } // namespace hw

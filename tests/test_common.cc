@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/csv.hh"
 #include "common/rng.hh"
@@ -101,16 +102,34 @@ TEST(TimeWeightedStats, PiecewiseMean)
     EXPECT_DOUBLE_EQ(tw.duration(), 4.0);
 }
 
+// No per-interval log may creep back in: the stats are copied by value
+// on every Gpu::resetStats and must stay O(1) in state.
+static_assert(std::is_trivially_copyable_v<TimeWeightedStats>);
+
 TEST(TimeWeightedStats, FractionBelowThreshold)
 {
+    TimeWeightedStats at99(0.99);
+    TimeWeightedStats at50(0.5);
+    TimeWeightedStats at200(2.0);
+    for (TimeWeightedStats* tw : {&at99, &at50, &at200}) {
+        tw->update(0.0, 1.0);  // nominal for 2s
+        tw->update(2.0, 0.8);  // throttled for 1s
+        tw->update(3.0, 1.0);  // nominal for 1s
+        tw->finish(4.0);
+    }
+    EXPECT_NEAR(at99.fractionBelow(), 0.25, 1e-12);
+    EXPECT_NEAR(at50.fractionBelow(), 0.0, 1e-12);
+    EXPECT_NEAR(at200.fractionBelow(), 1.0, 1e-12);
+}
+
+TEST(TimeWeightedStats, NoThresholdReportsZeroBelow)
+{
     TimeWeightedStats tw;
-    tw.update(0.0, 1.0);  // nominal for 2s
-    tw.update(2.0, 0.8);  // throttled for 1s
-    tw.update(3.0, 1.0);  // nominal for 1s
-    tw.finish(4.0);
-    EXPECT_NEAR(tw.fractionBelow(0.99), 0.25, 1e-12);
-    EXPECT_NEAR(tw.fractionBelow(0.5), 0.0, 1e-12);
-    EXPECT_NEAR(tw.fractionBelow(2.0), 1.0, 1e-12);
+    tw.update(0.0, -1e300);
+    tw.update(1.0, 0.0);
+    tw.finish(2.0);
+    EXPECT_DOUBLE_EQ(tw.duration(), 2.0);
+    EXPECT_EQ(tw.fractionBelow(), 0.0);
 }
 
 TEST(TimeWeightedStats, ZeroDurationUpdatesIgnored)

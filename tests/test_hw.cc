@@ -377,6 +377,21 @@ TEST(Gpu, ThrottleRatioTracksClock)
     EXPECT_GT(gpu.throttleRatio(), 0.4);
 }
 
+TEST(Gpu, ResetStatsKeepsThrottleThreshold)
+{
+    Gpu gpu(0, h100Spec());
+    gpu.thermalUpdate(Celsius(90.0), 0.0);
+    ASSERT_LT(gpu.clockRel().value(), calib::kThrottleClockThresholdRel);
+    // End of warmup: the clock stat restarts but must keep counting
+    // time below the throttle threshold.
+    gpu.resetStats(1.0);
+    gpu.thermalUpdate(Celsius(90.0), 1.5);
+    gpu.finishStats(2.0);
+    EXPECT_LT(gpu.clockRel().value(), calib::kThrottleClockThresholdRel);
+    EXPECT_DOUBLE_EQ(gpu.clockStats().duration(), 1.0);
+    EXPECT_DOUBLE_EQ(gpu.throttleRatio(), 1.0);
+}
+
 TEST(Gpu, OccupancyHighForCommLowWarps)
 {
     Gpu gpu(0, h100Spec());
