@@ -7,7 +7,6 @@
 
 #include "coll/cost_model.hh"
 #include "common/logging.hh"
-#include "common/stats.hh"
 #include "hw/activity_profile.hh"
 #include "hw/calibration.hh"
 #include "hw/compute_model.hh"
@@ -123,11 +122,8 @@ AnalyticalBackend::lower(const ExperimentConfig& config)
 
     result.label = cfg.label();
 
-    int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
-    int microbatches =
-        std::max(1, per_replica / cfg.train.microbatchSize);
     parallel::MemoryPlanner planner(cfg.model, cfg.par);
-    auto memory_opts = memoryOptionsFor(cfg, microbatches);
+    auto memory_opts = memoryOptionsFor(cfg);
     result.memory = planner.worstStage(memory_opts);
     if (cfg.checkMemory &&
         !planner.fits(cfg.cluster.gpu.memoryBytes, memory_opts)) {
@@ -714,7 +710,7 @@ AnalyticalBackend::execute()
     result.tokensPerSecond =
         result.tokensPerIteration / result.avgIterationSeconds;
 
-    RunningStats power_avg, temp_avg, clock_avg, throttle_avg;
+    GpuResultFold aggregate(result);
     for (int d = 0; d < world; ++d) {
         // Average the per-iteration walks over the measured window.
         DeviceWalk mean;
@@ -759,27 +755,9 @@ AnalyticalBackend::execute()
         g.pcieBytes = pcie / iters;
         g.scaleUpBytes = scale_up / iters;
         g.breakdown = mean.breakdown;
-
-        result.totalEnergyJ += g.energyJ;
-        result.meanBreakdown.merge(g.breakdown);
-        result.peakPowerW = std::max(result.peakPowerW, g.peakPowerW);
-        result.peakTempC = std::max(result.peakTempC, g.peakTempC);
-        power_avg.add(g.avgPowerW);
-        temp_avg.add(g.avgTempC);
-        clock_avg.add(g.avgClockGhz);
-        throttle_avg.add(g.throttleRatio);
-        result.gpus.push_back(std::move(g));
+        aggregate.add(g);
     }
-    for (double& s : result.meanBreakdown.seconds)
-        s /= static_cast<double>(world);
-    result.avgPowerW = power_avg.mean();
-    result.avgTempC = temp_avg.mean();
-    result.avgClockGhz = clock_avg.mean();
-    result.throttleRatio = throttle_avg.mean();
-
-    double tokens_measured = result.tokensPerIteration * iters;
-    result.energyPerTokenJ = result.totalEnergyJ / tokens_measured;
-    result.tokensPerJoule = tokens_measured / result.totalEnergyJ;
+    aggregate.finish(iters);
     // No event queue ran: telemetry series stay empty, the trace stays
     // null, and the simulator self-profiling counters stay zero.
 }

@@ -33,11 +33,8 @@ DesBackend::lower(const ExperimentConfig& config)
 
     result.label = cfg.label();
 
-    int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
-    int microbatches =
-        std::max(1, per_replica / cfg.train.microbatchSize);
     parallel::MemoryPlanner planner(cfg.model, cfg.par);
-    auto memory_opts = memoryOptionsFor(cfg, microbatches);
+    auto memory_opts = memoryOptionsFor(cfg);
     result.memory = planner.worstStage(memory_opts);
     if (cfg.checkMemory &&
         !planner.fits(cfg.cluster.gpu.memoryBytes, memory_opts))
@@ -163,11 +160,8 @@ DesBackend::execute()
                        "exclusive: both drive GPU slowdowns, and "
                        "recovery resets a replaced GPU to full speed, "
                        "erasing a straggler's derate");
-        int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
-        int microbatches =
-            std::max(1, per_replica / cfg.train.microbatchSize);
         Bytes state = resil::CheckpointModel::rankStateBytes(
-            cfg.model, cfg.par, memoryOptionsFor(cfg, microbatches));
+            cfg.model, cfg.par, memoryOptionsFor(cfg));
         resil::StoragePath storage;
         storage.pcieBw = cfg.cluster.network.pcieBw;
         storage.nicBw = cfg.cluster.network.nicBw;
@@ -250,17 +244,12 @@ DesBackend::execute()
     result.measureStartSec = engine.measureStartSeconds();
 
     double iters = static_cast<double>(cfg.measuredIterations);
-    RunningStats power_avg, temp_avg, clock_avg, throttle_avg;
+    GpuResultFold aggregate(result);
     // Aggregate over the LOGICAL world in device order; under collapse
     // logical device d reads its representative's statistics, giving
     // the identical sequence of floating-point adds as a full run.
     const int logical_world =
         collapsed ? fold.logicalWorld() : platform.numGpus();
-    // Throttle residency scans a GPU's whole clock log: take it once
-    // per physical GPU, not once per logical GPU it stands for.
-    std::vector<double> throttle;
-    for (int d = 0; d < platform.numGpus(); ++d)
-        throttle.push_back(platform.gpu(d).throttleRatio());
     for (int i = 0; i < logical_world; ++i) {
         const int dev = collapsed ? fold.repOf(i) : i;
         const hw::Gpu& gpu = platform.gpu(dev);
@@ -271,7 +260,7 @@ DesBackend::execute()
         g.peakTempC = gpu.tempStats().max();
         g.avgClockGhz = gpu.clockStats().mean() *
                         gpu.spec().nominalClockGhz;
-        g.throttleRatio = throttle[static_cast<std::size_t>(dev)];
+        g.throttleRatio = gpu.throttleRatio();
         g.avgOccupancy = gpu.occupancyStats().mean();
         g.avgWarps = gpu.warpStats().mean();
         g.avgThreadblocks = gpu.threadblockStats().mean();
@@ -285,27 +274,9 @@ DesBackend::execute()
         g.breakdown = gpu.breakdown();
         for (double& s : g.breakdown.seconds)
             s /= iters;
-
-        result.totalEnergyJ += g.energyJ;
-        result.meanBreakdown.merge(g.breakdown);
-        result.peakPowerW = std::max(result.peakPowerW, g.peakPowerW);
-        result.peakTempC = std::max(result.peakTempC, g.peakTempC);
-        power_avg.add(g.avgPowerW);
-        temp_avg.add(g.avgTempC);
-        clock_avg.add(g.avgClockGhz);
-        throttle_avg.add(g.throttleRatio);
-        result.gpus.push_back(std::move(g));
+        aggregate.add(g);
     }
-    for (double& s : result.meanBreakdown.seconds)
-        s /= static_cast<double>(logical_world);
-    result.avgPowerW = power_avg.mean();
-    result.avgTempC = temp_avg.mean();
-    result.avgClockGhz = clock_avg.mean();
-    result.throttleRatio = throttle_avg.mean();
-
-    double tokens_measured = result.tokensPerIteration * iters;
-    result.energyPerTokenJ = result.totalEnergyJ / tokens_measured;
-    result.tokensPerJoule = tokens_measured / result.totalEnergyJ;
+    aggregate.finish(iters);
 
     if (sampler) {
         result.series.reserve(

@@ -23,8 +23,10 @@ ExperimentConfig::label() const
 }
 
 parallel::MemoryOptions
-memoryOptionsFor(const ExperimentConfig& cfg, int microbatches)
+memoryOptionsFor(const ExperimentConfig& cfg)
 {
+    int per_replica = cfg.train.globalBatchSize / cfg.par.dp;
+    int microbatches = std::max(1, per_replica / cfg.train.microbatchSize);
     parallel::MemoryOptions mo;
     mo.microbatchSize = cfg.train.microbatchSize;
     mo.microbatchesInFlight = std::min(microbatches, cfg.par.pp);
@@ -38,12 +40,38 @@ bool
 Experiment::fits(const ExperimentConfig& config)
 {
     config.par.validate();
-    int per_replica = config.train.globalBatchSize / config.par.dp;
-    int microbatches =
-        std::max(1, per_replica / config.train.microbatchSize);
     parallel::MemoryPlanner planner(config.model, config.par);
     return planner.fits(config.cluster.gpu.memoryBytes,
-                        memoryOptionsFor(config, microbatches));
+                        memoryOptionsFor(config));
+}
+
+void
+GpuResultFold::add(const GpuResult& g)
+{
+    result.totalEnergyJ += g.energyJ;
+    result.meanBreakdown.merge(g.breakdown);
+    result.peakPowerW = std::max(result.peakPowerW, g.peakPowerW);
+    result.peakTempC = std::max(result.peakTempC, g.peakTempC);
+    power.add(g.avgPowerW);
+    temp.add(g.avgTempC);
+    clock.add(g.avgClockGhz);
+    throttle.add(g.throttleRatio);
+    result.gpus.push_back(g);
+}
+
+void
+GpuResultFold::finish(double measured_iterations)
+{
+    for (double& s : result.meanBreakdown.seconds)
+        s /= static_cast<double>(power.count());
+    result.avgPowerW = power.mean();
+    result.avgTempC = temp.mean();
+    result.avgClockGhz = clock.mean();
+    result.throttleRatio = throttle.mean();
+
+    double tokens_measured = result.tokensPerIteration * measured_iterations;
+    result.energyPerTokenJ = result.totalEnergyJ / tokens_measured;
+    result.tokensPerJoule = tokens_measured / result.totalEnergyJ;
 }
 
 ExperimentResult

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hh"
 #include "core/cluster.hh"
 #include "faults/fault.hh"
 #include "model/transformer_config.hh"
@@ -216,10 +217,34 @@ class Experiment
 
 /**
  * Memory-planner options implied by an experiment config (shared by
- * the feasibility screen and both fidelity backends).
+ * the feasibility screen and both fidelity backends), including the
+ * per-replica microbatch count the config implies.
  */
-parallel::MemoryOptions memoryOptionsFor(const ExperimentConfig& cfg,
-                                         int microbatches);
+parallel::MemoryOptions memoryOptionsFor(const ExperimentConfig& cfg);
+
+/**
+ * Folds per-GPU results into an ExperimentResult's cluster aggregates:
+ * total energy, rank-mean breakdown, peaks, averages and energy per
+ * token. Both backends add() each GPU from inside their own per-GPU
+ * loop, in device order, so every aggregate sees one fixed sequence of
+ * floating-point adds.
+ */
+class GpuResultFold
+{
+  public:
+    explicit GpuResultFold(ExperimentResult& result) : result(result) {}
+
+    /** Accumulate @p g into the aggregates and append it to gpus. */
+    void add(const GpuResult& g);
+
+    /** Finish the aggregates after the last add(); reads
+     *  result.tokensPerIteration. */
+    void finish(double measured_iterations);
+
+  private:
+    ExperimentResult& result;
+    RunningStats power, temp, clock, throttle;
+};
 
 } // namespace core
 } // namespace charllm

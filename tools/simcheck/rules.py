@@ -1,6 +1,6 @@
 """simcheck rules: the simulator's semantic contracts over the IR.
 
-Three families, mirroring the contracts in DESIGN.md §5/§6:
+Four families, mirroring the contracts in DESIGN.md §5/§6/§10:
 
 Determinism ("same seed -> byte-identical telemetry"):
   det-unordered-iter     iteration over std::unordered_{map,set} —
@@ -11,6 +11,8 @@ Determinism ("same seed -> byte-identical telemetry"):
                          default-compare sort of a pointer vector)
   det-unseeded-rng       RNG engine constructed with no seed argument;
                          seeds must flow from config structs
+  det-ambient-entropy    rand(), std::random_device, a wall clock,
+                         time(NULL) or getenv anywhere in src/
 
 Unit soundness (common/quantity.hh, now enforced across ALL of src/):
   unit-raw-double        unit-suffixed (_w/_j/_c/_bps/_s) parameter,
@@ -18,10 +20,22 @@ Unit soundness (common/quantity.hh, now enforced across ALL of src/):
   unit-value-escape      public header function returning a raw
                          Quantity::value() double across the API
 
-Hot-path allocation (by reachability, not directory):
+Hot-path allocation:
   hot-alloc              heap-allocating construct in a function
                          statically reachable from EventQueue dispatch
                          or the FlowNetwork solve entry points
+  hot-dir-alloc          std::function / make_shared anywhere in
+                         src/sim/, src/net/, src/obs/, and any
+                         allocating construct in a src/obs/ header —
+                         a directory ban, stricter than reachability
+
+Library hygiene:
+  lib-iostream           #include <iostream|ostream|istream> in src/
+
+The det-ambient-entropy, hot-dir-alloc and lib-iostream rules match
+each file's cxxlex token stream rather than the frontend's, so they
+behave identically under both frontends: comments never fire, string
+literals stay opaque, and a directive is one token.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from cxxlex import DIRECTIVE, ID, Token, match_seq, tokenize
 from ir import FileModel, Finding, Function
 
 UNORDERED_RE = re.compile(r"\bunordered_(map|set|multimap|multiset)\b")
@@ -48,6 +63,37 @@ HEAP_TOKENS = {
     "resize": "resize can reallocate on the hot path",
     "reserve": "reserve allocates on the hot path",
 }
+
+# det-ambient-entropy: identifiers banned wherever they appear, and
+# calls banned when the identifier is followed by '('.
+ENTROPY_NAMES = {
+    "random_device": "std::random_device is nondeterministic; seed "
+                     "common/rng.hh explicitly",
+    "system_clock": "wall-clock time breaks replay; use the simulator "
+                    "clock",
+    "steady_clock": "wall-clock time breaks replay; use the simulator "
+                    "clock",
+    "high_resolution_clock": "wall-clock time breaks replay; use the "
+                             "simulator clock",
+}
+ENTROPY_CALLS = {
+    "rand": "rand() is ambient entropy; use common/rng.hh with an "
+            "explicit seed",
+    "getenv": "environment lookups hide config; pass options structs "
+              "instead",
+}
+TIME_NULL_MSG = "time(NULL) is ambient entropy; use the simulator clock"
+
+IOSTREAM_RE = re.compile(r"#\s*include\s*<(iostream|ostream|istream)>")
+
+# hot-dir-alloc scopes. The event kernel, flow solver and metric
+# increment paths ban these constructs outright; allocating machinery
+# belongs in src/obs/ .cc files (registration and dumping run once).
+HOT_DIRS = ("src/sim/", "src/net/", "src/obs/")
+OBS_DIR = "src/obs/"
+OBS_HEADER_ALLOC = {"new", "make_shared", "make_unique", "push_back",
+                    "emplace_back"}
+OBS_HEADER_ALLOC_CALLS = {"resize", "reserve"}
 
 # Default reachability roots: EventQueue dispatch + FlowNetwork solve
 # entry points, plus every lambda handed to the scheduling API (those
@@ -90,12 +136,18 @@ RULES = [
      "relational comparison of pointer values used for ordering"),
     ("det-unseeded-rng",
      "RNG engine constructed without an explicit seed"),
+    ("det-ambient-entropy",
+     "rand/random_device/wall clock/time(NULL)/getenv in library code"),
     ("unit-raw-double",
      "unit-suffixed raw double parameter/return/member"),
     ("unit-value-escape",
      "public header API returning Quantity::value() as raw double"),
     ("hot-alloc",
      "heap allocation reachable from event dispatch / flow solve"),
+    ("hot-dir-alloc",
+     "std::function/make_shared in sim/net/obs, allocation in obs headers"),
+    ("lib-iostream",
+     "std stream header included by library code"),
 ]
 
 
@@ -113,6 +165,7 @@ class Analyzer:
         self.sources = sources  # path -> source lines (for snippets)
         self.config = config or RuleConfig()
         self.findings: list[Finding] = []
+        self._lexed: dict[str, list[Token]] = {}
 
     # -- helpers --------------------------------------------------------
 
@@ -123,15 +176,25 @@ class Analyzer:
             snippet=_snippet(fm, line, self.sources.get(fm.path, [])),
             function=function))
 
+    def _lex(self, fm: FileModel) -> list[Token]:
+        """The file's cxxlex tokens, whichever frontend built @p fm."""
+        if fm.path not in self._lexed:
+            self._lexed[fm.path] = tokenize(
+                "\n".join(self.sources.get(fm.path, [])))
+        return self._lexed[fm.path]
+
     def run(self, only_rules: set[str] | None = None) -> list[Finding]:
         checks = {
             "det-unordered-iter": self.check_unordered_iter,
             "det-pointer-key": self.check_pointer_key,
             "det-pointer-compare": self.check_pointer_compare,
             "det-unseeded-rng": self.check_unseeded_rng,
+            "det-ambient-entropy": self.check_ambient_entropy,
             "unit-raw-double": self.check_unit_raw_double,
             "unit-value-escape": self.check_value_escape,
             "hot-alloc": self.check_hot_alloc,
+            "hot-dir-alloc": self.check_hot_dir_alloc,
+            "lib-iostream": self.check_iostream,
         }
         for rule, fn in checks.items():
             if only_rules is None or rule in only_rules:
@@ -295,6 +358,40 @@ class Analyzer:
                     self._emit("det-unseeded-rng", fm, line,
                                f"'{var}': {RNG_NO_SEED_MSG}", fn.qname)
 
+    def check_ambient_entropy(self) -> None:
+        for fm in self.models:
+            toks = self._lex(fm)
+            for i, t in enumerate(toks):
+                if t.kind != ID:
+                    continue
+                nxt = toks[i + 1].text if i + 1 < len(toks) else ""
+                prev = toks[i - 1].text if i else ""
+                message = None
+                if t.text in ENTROPY_NAMES:
+                    message = ENTROPY_NAMES[t.text]
+                elif t.text in ENTROPY_CALLS and nxt == "(":
+                    # The C library call, bare or std::-qualified; not a
+                    # member or another namespace's function of that name.
+                    member = prev in (".", "->")
+                    qualified = prev == "::" and i >= 2 and \
+                        toks[i - 2].kind == ID and toks[i - 2].text != "std"
+                    if not (member or qualified):
+                        message = ENTROPY_CALLS[t.text]
+                elif t.text == "time" and any(
+                        match_seq(toks, i, ["time", "(", arg, ")"])
+                        for arg in ("NULL", "nullptr", "0")):
+                    message = TIME_NULL_MSG
+                if message:
+                    self._emit("det-ambient-entropy", fm, t.line, message)
+
+    def check_iostream(self) -> None:
+        for fm in self.models:
+            for t in self._lex(fm):
+                if t.kind == DIRECTIVE and IOSTREAM_RE.match(t.text):
+                    self._emit("lib-iostream", fm, t.line,
+                               "library code must not use std streams; "
+                               "use the CSV/trace writers or return data")
+
     # -- unit soundness -------------------------------------------------
 
     def check_unit_raw_double(self) -> None:
@@ -436,3 +533,34 @@ class Analyzer:
                             "event dispatch / flow solve; keep the "
                             "per-event path allocation-free)",
                             fn.qname)
+
+    def check_hot_dir_alloc(self) -> None:
+        """Directory ban, independent of reachability: hot_alloc only
+        sees what the call graph resolves, this sees every line."""
+        for fm in self.models:
+            if not fm.path.startswith(HOT_DIRS):
+                continue
+            obs_header = fm.is_header and fm.path.startswith(OBS_DIR)
+            toks = self._lex(fm)
+            for i, t in enumerate(toks):
+                if t.kind != ID:
+                    continue
+                nxt = toks[i + 1].text if i + 1 < len(toks) else ""
+                message = None
+                if t.text == "function" and i >= 2 and \
+                        toks[i - 1].text == "::" and toks[i - 2].text == "std":
+                    message = ("std::function heap-allocates captured "
+                               "state on the event hot path; use "
+                               "sim::EventFn (or a concrete callable type)")
+                elif t.text == "make_shared":
+                    message = ("per-event shared_ptr records defeat the "
+                               "slab allocator; use the pooled event/flow "
+                               "slabs")
+                elif obs_header and (
+                        t.text in OBS_HEADER_ALLOC or
+                        (t.text in OBS_HEADER_ALLOC_CALLS and nxt == "(")):
+                    message = (f"'{t.text}' in an obs header: the inline "
+                               "metric increment path must not allocate; "
+                               "declare here, define in the .cc")
+                if message:
+                    self._emit("hot-dir-alloc", fm, t.line, message)

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""simcheck — AST-level simulation contract checker.
+"""simcheck — the simulator's one static contract checker.
 
-Enforces the simulator's semantic contracts where the regex lint
-(tools/lint_sim.py) can't see: container iteration semantics, pointer
-ordering, RNG seeding, unit-suffixed raw doubles across all of src/,
-Quantity::value() escapes on public APIs, and hot-path allocation by
+Enforces the simulator's determinism, unit and allocation contracts
+over src/: container iteration semantics, pointer ordering, RNG
+seeding, ambient entropy (rand, wall clocks, getenv), unit-suffixed
+raw doubles, Quantity::value() escapes on public APIs, std streams in
+library code, and hot-path allocation both by directory and by
 call-graph reachability from event dispatch / flow solve.
 
 Frontends (--frontend):

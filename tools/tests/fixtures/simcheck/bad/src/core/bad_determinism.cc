@@ -1,6 +1,6 @@
-// Fixture: determinism rules must fire; the string-literal line is the
-// strip_comment regression — a `//` inside the literal must not hide
-// the banned construct after it.
+// Fixture: det-ambient-entropy must fire on each line below. Line 12
+// is the string-literal case: the `//` inside the literal is content,
+// not a comment, and must not hide the banned construct after it.
 #include <cstdlib>
 #include <random>
 

@@ -1,4 +1,4 @@
-// Fixture: raw-double-unit must fire in a physics header.
+// Fixture: unit-raw-double must fire in a physics header.
 #ifndef FIXTURE_BAD_UNITS_HH
 #define FIXTURE_BAD_UNITS_HH
 

@@ -1,4 +1,4 @@
-// Fixture: obs-header-alloc must fire on an allocating increment path.
+// Fixture: hot-dir-alloc must fire on an allocating increment path.
 #ifndef FIXTURE_BAD_COUNTER_HH
 #define FIXTURE_BAD_COUNTER_HH
 

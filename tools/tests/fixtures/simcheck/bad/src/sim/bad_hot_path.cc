@@ -1,4 +1,4 @@
-// Fixture: hot-path rules must fire in src/sim/.
+// Fixture: hot-dir-alloc must fire in src/sim/, reachable or not.
 #include <functional>
 #include <memory>
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Fixture tests for tools/simcheck (stdlib unittest; no pytest).
 
-Each of the seven rules must fire on its bad fixture and stay silent on
+Each of the ten rules must fire on its bad fixture and stay silent on
 the clean tree; the allowlist must suppress and --check-allowlist must
 flag stale entries; the JSON report must carry the documented schema.
-Tests run the internal frontend so they pass in environments without
-libclang; when clang.cindex IS importable, a cross-frontend smoke test
-checks the clang path agrees on the fixtures.
+The directory-scoped rules see real scopes: their fixtures sit under
+src/<dir>/ in each tree. Tests run the internal frontend so they pass in
+environments without libclang; when clang.cindex IS importable, a
+cross-frontend smoke test checks the clang path agrees on the fixtures.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ REPO = HERE.parent.parent
 SIMCHECK = REPO / "tools" / "simcheck" / "simcheck.py"
 FIXTURES = HERE / "fixtures" / "simcheck"
 
+sys.path.insert(0, str(SIMCHECK.parent))
+from cxxlex import tokenize  # noqa: E402
+
 ALL_RULES = (
     "det-unordered-iter", "det-pointer-key", "det-pointer-compare",
-    "det-unseeded-rng", "unit-raw-double", "unit-value-escape",
-    "hot-alloc",
+    "det-unseeded-rng", "det-ambient-entropy", "unit-raw-double",
+    "unit-value-escape", "hot-alloc", "hot-dir-alloc", "lib-iostream",
 )
 
 
@@ -65,6 +69,34 @@ class BadFixtureTest(unittest.TestCase):
         for rule, fname in expect:
             self.assertRegex(r.stdout, rf"{fname}:\d+: \[{rule}\]")
 
+    def test_token_rule_sites(self):
+        # Every site reported exactly once: rand, random_device (after
+        # a "https://" literal on line 12), getenv, both wall clocks,
+        # time(nullptr), the stream include, a unit-suffixed double in
+        # a physics header, std::function and make_shared in src/sim/,
+        # and push_back in a src/obs/ header.
+        r = run_simcheck(*bad_tree_args())
+        for site, rule in (
+                ("src/core/bad_determinism.cc:12", "det-ambient-entropy"),
+                ("src/core/bad_determinism.cc:14", "det-ambient-entropy"),
+                ("src/core/bad_determinism.cc:15", "det-ambient-entropy"),
+                ("src/core/bad_wall_clock.cc:11", "det-ambient-entropy"),
+                ("src/core/bad_wall_clock.cc:12", "det-ambient-entropy"),
+                ("src/core/bad_wall_clock.cc:13", "det-ambient-entropy"),
+                ("src/core/bad_iostream.cc:2", "lib-iostream"),
+                ("src/hw/bad_units.hh:7", "unit-raw-double"),
+                ("src/sim/bad_hot_path.cc:11", "hot-dir-alloc"),
+                ("src/sim/bad_hot_path.cc:16", "hot-dir-alloc"),
+                ("src/obs/bad_counter.hh:11", "hot-dir-alloc")):
+            self.assertEqual(r.stdout.count(f"{site}: [{rule}]"), 1,
+                             f"{site} [{rule}]:\n{r.stdout}")
+
+    def test_hot_dir_alloc_is_directory_scoped(self):
+        # hot_alloc.cc grows containers outside src/sim|net|obs: only
+        # the reachability rule may report it.
+        r = run_simcheck(*bad_tree_args())
+        self.assertNotRegex(r.stdout, r"hot_alloc\.cc:\d+: \[hot-dir-alloc\]")
+
     def test_hot_alloc_reaches_through_helper(self):
         # recordEvent allocates and is only reachable via runOne.
         r = run_simcheck(*bad_tree_args())
@@ -91,6 +123,47 @@ class CleanFixtureTest(unittest.TestCase):
         self.assertIn("clean", r.stdout)
 
 
+class TokenizerTest(unittest.TestCase):
+    """The token rules see code only: comments are dropped and string
+    literals stay opaque, with `//` and `/*` inside them as content."""
+
+    @staticmethod
+    def texts(src: str) -> list[str]:
+        return [t.text for t in tokenize(src)]
+
+    def test_slashes_inside_string_are_not_a_comment(self):
+        toks = tokenize(
+            'const char* d = "https://x.io"; std::random_device rd;')
+        self.assertIn("random_device", [t.text for t in toks])
+        self.assertIn(("str", '"https://x.io"'),
+                      [(t.kind, t.text) for t in toks])
+
+    def test_real_trailing_comment_is_dropped(self):
+        self.assertEqual(self.texts("int x = 1; // rand() in prose"),
+                         ["int", "x", "=", "1", ";"])
+
+    def test_escaped_quote_does_not_end_string(self):
+        texts = self.texts(r'auto s = "a\"b // c"; f();')
+        self.assertIn(r'"a\"b // c"', texts)
+        self.assertEqual(texts[-4:], ["f", "(", ")", ";"])
+
+    def test_inline_block_comment_removed(self):
+        self.assertEqual(self.texts("int y; /* steady_clock prose */ g();"),
+                         ["int", "y", ";", "g", "(", ")", ";"])
+
+    def test_multiline_block_comment(self):
+        toks = tokenize("start /* opens\nrand() still inside\n"
+                        "done */ h();")
+        self.assertEqual([t.text for t in toks],
+                         ["start", "h", "(", ")", ";"])
+        self.assertEqual(toks[1].line, 3)
+
+    def test_comment_openers_inside_string(self):
+        self.assertEqual(self.texts('auto s = "/* not a comment"; k;'),
+                         ["auto", "s", "=", '"/* not a comment"', ";",
+                          "k", ";"])
+
+
 class AllowlistTest(unittest.TestCase):
     def test_allowlist_suppresses(self):
         with tempfile.NamedTemporaryFile("w", suffix=".txt",
@@ -115,6 +188,7 @@ class AllowlistTest(unittest.TestCase):
                          "--allowlist", allow, "--check-allowlist")
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("stale", r.stderr)
+        self.assertIn("*:no_such_file.cc:no_such_line", r.stderr)
 
     def test_malformed_entry_rejected(self):
         with tempfile.NamedTemporaryFile("w", suffix=".txt",
